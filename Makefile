@@ -199,9 +199,12 @@ bench-capacity:
 	@echo wrote BENCH_capacity.json
 
 # Quick benchmark smoke: one iteration of the Section VI latency sweep,
-# enough to catch a broken hot path without a full benchmark run.
+# enough to catch a broken hot path without a full benchmark run, plus the
+# stack-build write path (BenchmarkEngineLoad: dpe.Load + the Von Neumann
+# twin on the reference MLP) with its B/op and allocs/op, so setup
+# regressions show without a serving benchmark.
 bench-smoke:
-	$(GO) test -bench=SecVILatency -benchtime=1x .
+	$(GO) test -bench '^Benchmark(SecVILatency|EngineLoad)$$' -benchtime=1x -benchmem .
 
 cover:
 	$(GO) test -cover ./...

@@ -508,6 +508,35 @@ func BenchmarkEngineInferBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineLoad tracks the write path a serving stack pays on every
+// build: the reference MLP 256⁵→128→10 programmed into a fresh engine's
+// crossbars (dpe.Load) plus its Von Neumann twin quantized from the same
+// weights (vonneumann.NewBackend), with bytes and allocations per build
+// reported. `make bench-smoke` runs it so setup regressions show without
+// a full serving benchmark.
+func BenchmarkEngineLoad(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	net, err := nn.NewMLP("bench", []int{256, 256, 256, 256, 256, 128, 10}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := dpe.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := dpe.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Load(net); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := vonneumann.NewBackend(vonneumann.CPU(), vonneumann.DefaultHierarchy(), cfg.Crossbar, net); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDPEInference(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net, err := nn.NewMLP("bench", []int{256, 256, 10}, rng)

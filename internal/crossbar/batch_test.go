@@ -374,39 +374,73 @@ func TestMVMBatchValidation(t *testing.T) {
 // sized scratch from its pools — results stay oracle-exact on every
 // interleaving, single-vector and batched, and no stale capacity or
 // length from a larger earlier shape can leak into a smaller one (or
-// vice versa).
+// vice versa). It runs under every batch kernel: bit-serial and
+// functional, each with lane-packed and generic (CellBits 1, no packing)
+// storage. Only the generic bit-serial kernel reads the active-row runs,
+// so a scratch that has served only the other kernels must hold none.
 func TestScratchReuseAcrossReshapes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Rows, cfg.Cols = 32, 32
-	xb, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shapes := []struct{ m, n int }{{32, 32}, {5, 7}, {32, 32}, {11, 3}}
-	rng := rand.New(rand.NewSource(21))
-	for round, sh := range shapes {
-		w := randomMatrix(rng, sh.m, sh.n)
-		if _, err := xb.Program(w); err != nil {
-			t.Fatal(err)
+	for _, kc := range programCases() {
+		cfg := kc.cfg
+		if cfg.ReadNoise > 0 || kc.faults.Enabled() {
+			continue // same kernels as the deterministic cases
 		}
-		ins := batchInputs(rng, 4, sh.m)
-		got, _, err := xb.MVMBatch(ins, nil)
+		cfg.Rows, cfg.Cols = 32, 32
+		unpacked := cfg.CellBits == 1
+		xb, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ins {
-			single, _, err := xb.MVM(ins[i], NoNoise)
+		shapes := []struct{ m, n int }{{32, 32}, {5, 7}, {32, 32}, {11, 3}}
+		rng := rand.New(rand.NewSource(21))
+		for round, sh := range shapes {
+			w := randomMatrix(rng, sh.m, sh.n)
+			if _, err := xb.Program(w); err != nil {
+				t.Fatal(err)
+			}
+			if (xb.packedT == nil) != unpacked {
+				t.Fatalf("%s: packed lanes = %v, want unpacked = %v", kc.name, xb.packedT != nil, unpacked)
+			}
+			fresh, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := naiveMVM(cfg, w, ins[i], NoNoise)
-			for c := range want {
-				if got[i][c] != want[c] || single[c] != want[c] {
-					t.Fatalf("round %d shape %dx%d item %d col %d: batch %v single %v oracle %v",
-						round, sh.m, sh.n, i, c, got[i][c], single[c], want[c])
+			if _, err := fresh.Program(w); err != nil {
+				t.Fatal(err)
+			}
+			ins := batchInputs(rng, 4, sh.m)
+			got, _, err := xb.MVMBatch(ins, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range ins {
+				single, _, err := xb.MVM(ins[i], NoNoise)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := fresh.MVM(ins[i], NoNoise)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cfg.Functional {
+					want = naiveMVM(cfg, w, ins[i], NoNoise)
+				}
+				for c := range want {
+					if got[i][c] != want[c] || single[c] != want[c] {
+						t.Fatalf("%s round %d shape %dx%d item %d col %d: batch %v single %v oracle %v",
+							kc.name, round, sh.m, sh.n, i, c, got[i][c], single[c], want[c])
+					}
 				}
 			}
 		}
+		if !cfg.Functional && unpacked {
+			continue
+		}
+		s := xb.getBatchScratch(4)
+		if s.active != nil || s.activeStart != nil || s.runs != nil {
+			t.Fatalf("%s: batch scratch holds active-row runs its kernel never reads (%d/%d/%d)",
+				kc.name, cap(s.active), cap(s.activeStart), cap(s.runs))
+		}
+		xb.batchScratch.Put(s)
 	}
 
 	// Tile reshape: alternate a 1-block and a 2x2-block logical shape so
@@ -415,6 +449,7 @@ func TestScratchReuseAcrossReshapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(22))
 	for round, sh := range []struct{ m, n int }{{8, 8}, {30, 30}, {8, 8}} {
 		w := randomMatrix(rng, sh.m, sh.n)
 		if _, err := tile.Program(w); err != nil {

@@ -202,30 +202,19 @@ func (e *Engine) load(sp obs.Ctx, net *nn.Network) (energy.Cost, error) {
 		layer := net.Layers[i]
 		s := stage{layer: layer}
 		switch l := layer.(type) {
-		case *nn.Dense:
+		case *nn.Dense, *nn.Conv2D:
 			tile, err := e.stageTile(i)
 			if err != nil {
 				return err
 			}
-			cost, err := tile.ProgramCtx(sp, l.WeightMatrix())
+			cost, err := e.programStage(sp, tile, l)
 			if err != nil {
 				return fmt.Errorf("dpe: program layer %d (%s): %w", i, l.Name(), err)
 			}
 			costs[i] = cost
-			s.tile, s.dense = tile, l
-		case *nn.Conv2D:
-			tile, err := e.stageTile(i)
-			if err != nil {
-				return err
-			}
-			cost, err := tile.ProgramCtx(sp, l.Im2ColMatrix())
-			if err != nil {
-				return fmt.Errorf("dpe: program layer %d (%s): %w", i, l.Name(), err)
-			}
-			// Replicas program in parallel but all cells cost energy.
-			cost.EnergyPJ *= float64(e.cfg.ConvReplicas)
-			costs[i] = cost
-			s.tile, s.conv = tile, l
+			s.tile = tile
+			s.dense, _ = l.(*nn.Dense)
+			s.conv, _ = l.(*nn.Conv2D)
 		case *nn.ActivationLayer, *nn.MaxPool2D:
 			// Digital stages need no programming.
 		default:
@@ -247,6 +236,28 @@ func (e *Engine) load(sp obs.Ctx, net *nn.Network) (energy.Cost, error) {
 	e.inferences.Store(0)
 	e.seq.Store(0)
 	return total, nil
+}
+
+// programStage writes layer l into tile — the one programming path Load,
+// Reprogram, and Repair share. Dense weights go in column-major straight
+// from nn.Dense.W, whose rows ([out][in]) are exactly the crossbar's
+// columns, so no transposed copy is built; convolutions program their
+// im2col matrix through the row-major adapter. Conv replicas program in
+// parallel, but every replica's cells cost energy. Digital layers need no
+// programming.
+func (e *Engine) programStage(sp obs.Ctx, tile *crossbar.Tile, l nn.Layer) (energy.Cost, error) {
+	switch l := l.(type) {
+	case *nn.Dense:
+		return tile.ProgramColumnsCtx(sp, l.W)
+	case *nn.Conv2D:
+		c, err := tile.ProgramCtx(sp, l.Im2ColMatrix())
+		if err != nil {
+			return energy.Zero, err
+		}
+		c.EnergyPJ *= float64(e.cfg.ConvReplicas)
+		return c, nil
+	}
+	return energy.Zero, nil
 }
 
 // Reprogram loads a new network of identical topology into the existing
@@ -286,34 +297,31 @@ func (e *Engine) reprogram(sp obs.Ctx, net *nn.Network, hide bool) (energy.Cost,
 	costs := make([]energy.Cost, len(e.stages))
 	err := parallel.ForErr(len(e.stages), func(i int) error {
 		s := &e.stages[i]
-		switch l := net.Layers[i].(type) {
+		l := net.Layers[i]
+		switch l := l.(type) {
 		case *nn.Dense:
 			if s.dense == nil || s.dense.InSize() != l.InSize() || s.dense.OutSize() != l.OutSize() {
 				return fmt.Errorf("dpe: layer %d shape mismatch", i)
 			}
-			c, err := s.tile.ProgramCtx(sp, l.WeightMatrix())
-			if err != nil {
-				return err
-			}
-			costs[i] = c
-			s.dense, s.layer = l, l
 		case *nn.Conv2D:
 			if s.conv == nil || s.conv.InSize() != l.InSize() || s.conv.OutSize() != l.OutSize() {
 				return fmt.Errorf("dpe: layer %d shape mismatch", i)
 			}
-			c, err := s.tile.ProgramCtx(sp, l.Im2ColMatrix())
-			if err != nil {
-				return err
-			}
-			c.EnergyPJ *= float64(e.cfg.ConvReplicas)
-			costs[i] = c
-			s.conv, s.layer = l, l
 		default:
 			if s.tile != nil {
 				return fmt.Errorf("dpe: layer %d kind mismatch", i)
 			}
-			s.layer = net.Layers[i]
+			s.layer = l
+			return nil
 		}
+		c, err := e.programStage(sp, s.tile, l)
+		if err != nil {
+			return err
+		}
+		costs[i] = c
+		s.layer = l
+		s.dense, _ = l.(*nn.Dense)
+		s.conv, _ = l.(*nn.Conv2D)
 		return nil
 	})
 	if err != nil {

@@ -146,21 +146,11 @@ func (e *Engine) repair(sp obs.Ctx) (energy.Cost, Health, error) {
 	costs := make([]energy.Cost, len(bad))
 	err := parallel.ForErr(len(bad), func(k int) error {
 		s := &e.stages[bad[k]]
-		switch {
-		case s.dense != nil:
-			c, err := s.tile.ProgramCtx(sp, s.dense.WeightMatrix())
-			if err != nil {
-				return fmt.Errorf("dpe: repair stage %d (%s): %w", bad[k], s.layer.Name(), err)
-			}
-			costs[k] = c
-		case s.conv != nil:
-			c, err := s.tile.ProgramCtx(sp, s.conv.Im2ColMatrix())
-			if err != nil {
-				return fmt.Errorf("dpe: repair stage %d (%s): %w", bad[k], s.layer.Name(), err)
-			}
-			c.EnergyPJ *= float64(e.cfg.ConvReplicas)
-			costs[k] = c
+		c, err := e.programStage(sp, s.tile, s.layer)
+		if err != nil {
+			return fmt.Errorf("dpe: repair stage %d (%s): %w", bad[k], s.layer.Name(), err)
 		}
+		costs[k] = c
 		return nil
 	})
 	if err != nil {

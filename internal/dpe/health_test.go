@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"cimrev/internal/crossbar"
+	"cimrev/internal/energy"
 	"cimrev/internal/faultinject"
 	"cimrev/internal/nn"
 	"cimrev/internal/parallel"
@@ -264,4 +266,115 @@ func TestFaultHealthParallelEquivalence(t *testing.T) {
 			t.Fatalf("width %d: load energy %g != serial %g", width, got.energy, ref.energy)
 		}
 	}
+}
+
+// TestProgramStageMatchesRowMajorTiles pins the engine's column-major
+// programming path: every dense stage programmed straight from nn.Dense.W
+// by Load, Reprogram, and Repair holds exactly what a tile with the same
+// fault source programmed from the transposed WeightMatrix holds — same
+// cost, wear, fault report, and MVM outputs, with == — fault-free and
+// with every fault class active.
+func TestProgramStageMatchesRowMajorTiles(t *testing.T) {
+	for _, faults := range []faultinject.Model{
+		{},
+		{StuckLowRate: 0.03, StuckHighRate: 0.03, DriftRate: 0.02, DriftMax: 0.3, WriteFailRate: 0.2, Seed: 5},
+	} {
+		cfg := healthTestConfig()
+		cfg.Crossbar.SpareCols = 1
+		cfg.Faults = faults
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		netA, netB := healthTestNet(t, 1), healthTestNet(t, 2)
+		if _, err := eng.Load(netA); err != nil {
+			t.Fatal(err)
+		}
+		refs := map[int]*crossbar.Tile{}
+		check := func(label string, net *nn.Network, cost energy.Cost, program bool) {
+			t.Helper()
+			var refCost energy.Cost
+			for i, l := range net.Layers {
+				d, ok := l.(*nn.Dense)
+				if !ok {
+					continue
+				}
+				ref := refs[i]
+				if ref == nil {
+					if ref, err = rowMajorRefTile(cfg, eng, i); err != nil {
+						t.Fatal(err)
+					}
+					refs[i] = ref
+				}
+				if program {
+					c, err := ref.Program(d.WeightMatrix())
+					if err != nil {
+						t.Fatal(err)
+					}
+					refCost = refCost.Par(c)
+				}
+				got := eng.stages[i].tile
+				if got.Writes() != ref.Writes() || got.FaultReport() != ref.FaultReport() {
+					t.Fatalf("%s stage %d: writes %d report %+v, row-major reference %d %+v",
+						label, i, got.Writes(), got.FaultReport(), ref.Writes(), ref.FaultReport())
+				}
+				in := make([]float64, d.InSize())
+				for k := range in {
+					in[k] = float64(k%7) - 3
+				}
+				yg, cg, err := got.MVM(in, crossbar.NoNoise)
+				if err != nil {
+					t.Fatal(err)
+				}
+				yr, cr, err := ref.MVM(in, crossbar.NoNoise)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cg != cr || !reflect.DeepEqual(yg, yr) {
+					t.Fatalf("%s stage %d: MVM differs from the row-major reference", label, i)
+				}
+			}
+			if program && cost != refCost {
+				t.Fatalf("%s: cost %v != row-major reference %v", label, cost, refCost)
+			}
+		}
+		check("load", netA, eng.ProgramCost(), true)
+		if _, err := eng.Reprogram(netB, false); err != nil {
+			t.Fatal(err)
+		}
+		check("reprogram", netB, eng.ProgramCost(), true)
+		if !faults.Enabled() {
+			continue
+		}
+		if eng.HealthCheck().Healthy() {
+			t.Fatal("fault model lost no columns; the repair leg is vacuous")
+		}
+		if _, _, err := eng.Repair(); err != nil {
+			t.Fatal(err)
+		}
+		for i, ref := range refs {
+			if !ref.FaultReport().Healthy() {
+				d := netB.Layers[i].(*nn.Dense)
+				if _, err := ref.Program(d.WeightMatrix()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check("repair", netB, energy.Zero, false)
+	}
+}
+
+// rowMajorRefTile returns an empty tile carrying stage i's fault source, the
+// reference the engine's stage tile is compared against.
+func rowMajorRefTile(cfg Config, eng *Engine, i int) (*crossbar.Tile, error) {
+	tile, err := crossbar.NewTile(cfg.Crossbar)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Faults.Enabled() {
+		if err := tile.SetFaults(cfg.Faults, eng.faultSrc.Derive(uint64(i))); err != nil {
+			return nil, err
+		}
+	}
+	return tile, nil
 }

@@ -202,8 +202,11 @@ func (d *Dense) Forward(in []float64) ([]float64, error) {
 	return out, nil
 }
 
-// WeightMatrix returns the in x out matrix (transposed from W) suitable for
-// crossbar programming, where inputs drive rows and outputs read columns.
+// WeightMatrix returns the in x out matrix (a transposed copy of W), the
+// row-major layout where inputs drive rows and outputs read columns.
+// Crossbar programming needs no copy: W's rows are already the crossbar's
+// columns, so dpe and the Von Neumann twin pass W itself to the
+// column-major path (crossbar.Tile.ProgramColumns).
 func (d *Dense) WeightMatrix() [][]float64 {
 	m := make([][]float64, d.in)
 	for i := range m {

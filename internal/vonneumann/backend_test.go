@@ -1,7 +1,9 @@
 package vonneumann
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cimrev/internal/crossbar"
@@ -206,6 +208,56 @@ func TestTwinReload(t *testing.T) {
 	}
 	if err := twin.Reload(bad); err == nil {
 		t.Fatal("shape-mismatched Reload accepted")
+	}
+}
+
+// TestTwinRejectsNonFiniteWeights: a NaN or ±Inf weight fails NewBackend
+// and Reload exactly as it fails dpe.Load — the twin quantizes through the
+// crossbar's quantizer and its finite check — and a rejected Reload leaves
+// the twin serving its previous network bit for bit.
+func TestTwinRejectsNonFiniteWeights(t *testing.T) {
+	cfg := dpe.DefaultConfig()
+	poisoned := func(v float64) *nn.Network {
+		net, err := nn.NewMLP("twin-nonfinite", []int{8, 4}, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Layers[0].(*nn.Dense).W[2][5] = v
+		return net
+	}
+	clean, err := nn.NewMLP("twin-clean", []int{8, 4}, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, twin := twinPair(t, cfg, clean)
+	ins := twinInputs(t, 3, 8, 5)
+	want, _, err := twin.InferBatch(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := poisoned(v)
+		eng, err := dpe.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Load(bad); err == nil || !strings.Contains(err.Error(), "non-finite weight") {
+			t.Fatalf("%v: dpe.Load err = %v", v, err)
+		}
+		if _, err := NewBackend(CPU(), DefaultHierarchy(), cfg.Crossbar, bad); err == nil || !strings.Contains(err.Error(), "non-finite weight") {
+			t.Fatalf("%v: NewBackend err = %v", v, err)
+		}
+		if err := twin.Reload(bad); err == nil || !strings.Contains(err.Error(), "non-finite weight") {
+			t.Fatalf("%v: Reload err = %v", v, err)
+		}
+		if twin.Network() != clean {
+			t.Fatalf("%v: rejected Reload replaced the network", v)
+		}
+		got, _, err := twin.InferBatch(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, want, got, "after rejected reload")
 	}
 }
 
