@@ -30,73 +30,12 @@ docs-check:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the whole tree; parallelism is on by default
-# (pool width = GOMAXPROCS), so this exercises the concurrent hot paths.
-# The second invocation pins the noisy parallel-equivalence suites — the
-# tests that prove counter-based noise is bit-identical at any pool width —
-# so a -run filter or cached result can never silently skip them. The
-# third pins the serving-pipeline and memo single-flight concurrency
-# suites (micro-batcher, backpressure, shadow swaps at pool widths 1/4/16,
-# deduplicated concurrent memo Calls, lock-free histogram observes). The
-# fourth pins the device-fault subsystem: injection determinism,
-# program-and-verify + spare remapping, engine health scans and repairs,
-# and the serving-layer circuit breaker (docs/FAULTS.md). The fifth pins
-# the observability layer (docs/OBSERVABILITY.md): concurrent span
-# recording, traced-vs-untraced bit-identity at pool widths 1/4/16,
-# context-canceled request shedding, and the cimserve telemetry
-# endpoint lifecycle. The sixth pins the serving fleet (docs/CLUSTER.md):
-# router edge cases, join/leave under in-flight traffic, rolling
-# reprogram with zero downtime, and the keyed-noise determinism suites
-# that make fleet outputs bit-identical at any engine count. The seventh
-# pins the GEMM batching path (docs/PERF.md): batch-vs-looped bit-identity
-# across functional, bit-serial, noisy keyed/unkeyed, and fault-remapped
-# kernels, mixed-shape scratch-pool reuse, and concurrent batched MVMs.
-# The eighth pins the hybrid dispatch layer (docs/HYBRID.md): Von Neumann
-# twin bit-identity at pool widths 1/4/16, calibrator decision-sequence
-# determinism, route invariance through the dispatcher and the serving
-# pipeline, and reprogram suspension of the twin. The ninth pins the
-# resilience layer (docs/RESILIENCE.md): hedged-request bit-identity and
-# budget accounting, the AIMD limiter and brownout state machines, chaos
-# crash-window failover, and fleet membership churn (Leave/Join) racing
-# a rolling reprogram while hedged requests are in flight. The tenth pins
-# the workload-generation layer (docs/CAPACITY.md): arrival-schedule
-# bit-identity at pool widths 1/4/16, the chaos Poisson deprecation path,
-# trace record/replay, the open-loop drive (never-retry, no-self-throttle,
-# lateness accounting), the capacity sweep, and its benchjson gate.
+# Race-detector pass over the whole tree, uncached (-count=1), so no
+# concurrency suite can be skipped by a cached result; parallelism is on
+# by default (pool width = GOMAXPROCS), so this exercises the concurrent
+# hot paths.
 race:
-	$(GO) test -race ./...
-	$(GO) test -race -count=1 \
-		-run 'Noisy|ParallelEquivalence|OrderIndependence' \
-		./internal/crossbar/ ./internal/dpe/ ./internal/experiments/
-	$(GO) test -race -count=1 \
-		-run 'Serve|Shadow|Backpressure|SingleFlight|HistogramConcurrent' \
-		./internal/serve/ ./internal/memo/ ./internal/metrics/
-	$(GO) test -race -count=1 \
-		-run 'Fault|Health|Repair|Breaker' \
-		./internal/faultinject/ ./internal/crossbar/ ./internal/dpe/ \
-		./internal/serve/ ./internal/experiments/
-	$(GO) test -race -count=1 \
-		-run 'Trace|Concurrent|Canceled|Telemetry|Prom|Quantile' \
-		./internal/obs/ ./internal/crossbar/ ./internal/dpe/ \
-		./internal/serve/ ./internal/metrics/ ./internal/experiments/ \
-		./cmd/cimserve/
-	$(GO) test -race -count=1 \
-		-run 'Fleet|Router|Rolling|RoundRobin|Weighted|WearAware|JoinLeave|Keyed' \
-		./internal/fleet/ ./internal/serve/ ./internal/dpe/ \
-		./internal/experiments/ ./cmd/cimserve/
-	$(GO) test -race -count=1 \
-		-run 'MVMBatch|InferBatch|ScratchReuse' \
-		./internal/crossbar/ ./internal/dpe/
-	$(GO) test -race -count=1 \
-		-run 'Hybrid|Dispatch|Calibrator|Twin' \
-		./internal/hybrid/ ./internal/vonneumann/ ./internal/experiments/
-	$(GO) test -race -count=1 \
-		-run 'Hedge|Hedger|AIMD|Brownout|Limiter|Chaos|Straggler|Crash|Spikes|Arrivals|Wrap|Scenario|Reprogram|LeaveJoinRacing|Deadline|Resilience' \
-		./internal/fleet/ ./internal/chaos/ ./internal/serve/ ./cmd/cimserve/
-	$(GO) test -race -count=1 \
-		-run 'Arrivals|Poisson|MMPP|Diurnal|Trace|Mix|Drive|OpenLoop|Capacity' \
-		./internal/workloadgen/ ./internal/chaos/ ./internal/experiments/ \
-		./cmd/cimserve/ ./cmd/benchjson/
+	$(GO) test -race -count=1 ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -23,7 +23,6 @@ import (
 	"cimrev/internal/fault"
 	"cimrev/internal/nn"
 	"cimrev/internal/packet"
-	"cimrev/internal/resource"
 	"cimrev/internal/security"
 	"cimrev/internal/vonneumann"
 )
@@ -642,51 +641,6 @@ func randomVector(rng *rand.Rand, n int) []float64 {
 		v[i] = rng.Float64()*2 - 1
 	}
 	return v
-}
-
-// BenchmarkAblationDynamicRouting compares static placement (every stream
-// pinned to one unit) against dynamic load balancing under skewed demand.
-// The reported metric is the bottleneck unit's utilization — the completion
-// -time proxy for the fabric.
-func BenchmarkAblationDynamicRouting(b *testing.B) {
-	units := []packet.Address{{Tile: 0}, {Tile: 1}, {Tile: 2}, {Tile: 3}}
-	setup := func(b *testing.B, balance bool) float64 {
-		b.Helper()
-		bal, err := resource.NewBalancer(units, 1000, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Skewed offered load: stream rates follow a rough power law.
-		for i := uint32(0); i < 40; i++ {
-			rate := 100.0 / float64(1+i%7)
-			if _, err := bal.Assign(i, rate); err != nil {
-				b.Fatal(err)
-			}
-			if !balance {
-				if err := bal.Pin(i, units[0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		if balance {
-			bal.Rebalance()
-		}
-		return bal.Loads()[0].Utilization()
-	}
-	b.Run("static", func(b *testing.B) {
-		var u float64
-		for i := 0; i < b.N; i++ {
-			u = setup(b, false)
-		}
-		b.ReportMetric(u, "bottleneck_util")
-	})
-	b.Run("dynamic", func(b *testing.B) {
-		var u float64
-		for i := 0; i < b.N; i++ {
-			u = setup(b, true)
-		}
-		b.ReportMetric(u, "bottleneck_util")
-	})
 }
 
 // BenchmarkAssociativeSearch measures TCAM longest-prefix match and

@@ -615,6 +615,15 @@ func runSerial(cfg dpe.Config, net *nn.Network, inputs [][]float64, o options) (
 	return st, nil
 }
 
+// requestCtx is one request attempt's context: bounded by d when d > 0
+// (the -deadline budget), plain background otherwise.
+func requestCtx(d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(context.Background(), d)
+	}
+	return context.Background(), func() {}
+}
+
 // classify maps a serving error onto a drive outcome, folding the
 // cause-specific counters as it goes. Backpressure is Shed (closed-loop
 // drives retry it, open-loop drives count it and keep the schedule);
@@ -757,9 +766,9 @@ func runBatch(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 
 	rep, derr := workloadgen.Drive(driveConfig(o, gen), func(req workloadgen.Request) (workloadgen.Outcome, error) {
 		return fanout(req, func(int) (workloadgen.Outcome, error) {
-			// SubmitDeadline with d <= 0 is plain Submit, so the fast path
-			// is unchanged when -deadline is off.
-			_, cost, err := srv.SubmitDeadline(context.Background(), o.deadline, inputs[req.Seq%uint64(len(inputs))])
+			ctx, cancel := requestCtx(o.deadline)
+			_, cost, err := srv.Submit(ctx, inputs[req.Seq%uint64(len(inputs))])
+			cancel()
 			out, ferr := classify(err, &deadlined, &unhealthy)
 			if out == workloadgen.OK {
 				addEnergy(&energyBits, cost.EnergyPJ)
@@ -903,10 +912,7 @@ func runFleet(cfg dpe.Config, net, netB *nn.Network, inputs [][]float64, o optio
 		return fanout(req, func(element int) (workloadgen.Outcome, error) {
 			// Each attempt gets its own deadline: the budget covers one
 			// trip through the router + engine, not the drive's retry loop.
-			ctx, cancel := context.Background(), func() {}
-			if o.deadline > 0 {
-				ctx, cancel = context.WithTimeout(ctx, o.deadline)
-			}
+			ctx, cancel := requestCtx(o.deadline)
 			// Batch-1 requests keep the drive sequence as their noise key —
 			// bit-identical to the historical closed loop; batch-k elements
 			// derive distinct keys under the same request.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -92,7 +93,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 	// Serve a little traffic so the registry has content to scrape.
 	in := make([]float64, 32)
 	for i := 0; i < 8; i++ {
-		if _, _, err := srv.Infer(in); err != nil {
+		if _, _, err := srv.Submit(context.Background(), in); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +248,7 @@ func TestTelemetryFleet(t *testing.T) {
 	tel.setFleet(f)
 
 	in := make([]float64, 16)
-	if _, _, err := f.Infer(in); err != nil {
+	if _, _, err := f.Submit(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
 

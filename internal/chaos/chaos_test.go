@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -170,32 +169,5 @@ func TestReprogramDelay(t *testing.T) {
 	}
 	if d := New(Plan{SlowEngine: -1, CrashEngine: -1}).ReprogramDelay(0); d != 0 {
 		t.Errorf("inert injector ReprogramDelay = %v", d)
-	}
-}
-
-// TestArrivals: the Poisson gap sequence is deterministic in the seed,
-// strictly positive, and has roughly the configured mean (1/rps).
-func TestArrivals(t *testing.T) {
-	const rps = 10000.0
-	a1, a2 := NewArrivals(3, rps), NewArrivals(3, rps)
-	var sum time.Duration
-	const n = 20000
-	for i := uint64(0); i < n; i++ {
-		g := a1.Gap(i)
-		if g != a2.Gap(i) {
-			t.Fatalf("gap %d differs across identical generators", i)
-		}
-		if g <= 0 {
-			t.Fatalf("gap %d = %v, want > 0", i, g)
-		}
-		sum += g
-	}
-	mean := float64(sum) / n
-	want := float64(time.Second) / rps
-	if math.Abs(mean-want)/want > 0.05 {
-		t.Errorf("mean gap %v, want within 5%% of %v", time.Duration(mean), time.Duration(want))
-	}
-	if NewArrivals(4, rps).Gap(0) == a1.Gap(0) {
-		t.Error("different seeds produced the same first gap")
 	}
 }

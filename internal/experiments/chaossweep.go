@@ -15,6 +15,7 @@ import (
 	"cimrev/internal/fleet"
 	"cimrev/internal/nn"
 	"cimrev/internal/serve"
+	"cimrev/internal/workloadgen"
 )
 
 // ChaosRow is one (scenario, hedging) cell of the SLO-retention chaos
@@ -216,7 +217,10 @@ func chaosPoint(net *nn.Network, inputs [][]float64, oracle [][]float64, scenari
 		// is below the host's sleep granularity, so a sleep-per-arrival loop
 		// would silently throttle the burst ~20x. Oversleeping just means
 		// the next arrivals fire immediately to catch the schedule up.
-		arr := chaos.NewArrivals(plan.Seed, 200_000)
+		arr, err := workloadgen.NewPoisson(plan.Seed, 200_000)
+		if err != nil {
+			return nil, err
+		}
 		next := time.Now()
 		var wg sync.WaitGroup
 		for seq := 0; seq < requests; seq++ {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -146,13 +147,13 @@ func ObsOverhead() (*ObsResult, error) {
 		}
 		defer srv.Close()
 		for i := 0; i < 32; i++ { // warm-up
-			if _, _, err := srv.Infer(reqs[i]); err != nil {
+			if _, _, err := srv.Submit(context.Background(), reqs[i]); err != nil {
 				return 0, err
 			}
 		}
 		start := time.Now()
 		for _, in := range reqs {
-			if _, _, err := srv.Infer(in); err != nil {
+			if _, _, err := srv.Submit(context.Background(), in); err != nil {
 				return 0, err
 			}
 		}

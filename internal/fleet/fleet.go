@@ -477,11 +477,6 @@ func (f *Fleet) SimTimePS() int64 {
 	return max
 }
 
-// Infer submits one inference with a background context; see Submit.
-func (f *Fleet) Infer(in []float64) ([]float64, energy.Cost, error) {
-	return f.Submit(context.Background(), in)
-}
-
 // Submit routes one inference, stamping it with the next fleet-global
 // sequence number (its noise key). Under concurrent submission the
 // arrival order — and therefore which request gets which key — is

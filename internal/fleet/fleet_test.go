@@ -593,7 +593,7 @@ func TestFleetMetricsAndSimTime(t *testing.T) {
 	in := testInputs(1, 16, 9)[0]
 	const n = 10
 	for i := 0; i < n; i++ {
-		if _, _, err := f.Infer(in); err != nil {
+		if _, _, err := f.Submit(context.Background(), in); err != nil {
 			t.Fatal(err)
 		}
 	}

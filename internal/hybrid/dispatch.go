@@ -1,3 +1,10 @@
+// Package hybrid routes serving flushes between a crossbar backend and
+// its executing Von Neumann twin (vonneumann.Backend) — the runtime form
+// of the paper's Section III.F Von Neumann/CIM interaction. A Dispatcher
+// is a serve.Backend that picks, per flush, whichever backend a
+// calibrated cost model says is cheaper; the twin is bit-exact on
+// deterministic configs, so the choice changes only simulated cost,
+// never outputs (docs/HYBRID.md).
 package hybrid
 
 import (

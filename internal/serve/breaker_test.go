@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -306,7 +307,7 @@ func TestServerShedsUnhealthyBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = srv.Infer(in[i])
+			_, _, errs[i] = srv.Submit(context.Background(), in[i])
 		}(i)
 	}
 	wg.Wait()
@@ -321,6 +322,9 @@ func TestServerShedsUnhealthyBatches(t *testing.T) {
 	}
 	if got := reg.Counter("serve.errors").Value(); got != 0 {
 		t.Fatalf("per-request fallback ran %d times against a tripped breaker", got)
+	}
+	if got := reg.Histogram("serve.latency_ns").Count(); got != 0 {
+		t.Fatalf("serve.latency_ns count = %d after %d sheds, want 0 (successes only)", got, n)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestSubmitCanceledWhileQueued(t *testing.T) {
 	// Jam the dispatcher inside a flush so the queue holds still.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Infer([]float64{0})
+		_, _, err := srv.Submit(context.Background(), []float64{0})
 		firstDone <- err
 	}()
 	<-bk.entered
@@ -239,7 +239,7 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 	// Jam the dispatcher inside a flush so the queue holds still.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Infer([]float64{0})
+		_, _, err := srv.Submit(context.Background(), []float64{0})
 		firstDone <- err
 	}()
 	<-bk.entered
@@ -251,7 +251,9 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = srv.SubmitDeadline(context.Background(), 20*time.Millisecond, []float64{float64(i + 1)})
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			_, _, errs[i] = srv.Submit(ctx, []float64{float64(i + 1)})
 		}(i)
 	}
 	deadline := time.After(5 * time.Second)
@@ -293,18 +295,4 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 		t.Errorf("serve.canceled = %d, want 0", got)
 	}
 	close(bk.entered)
-}
-
-// TestSubmitDeadlineZeroIsSubmit: SubmitDeadline with d <= 0 is plain
-// Submit — no budget, the request completes normally.
-func TestSubmitDeadlineZeroIsSubmit(t *testing.T) {
-	bk := &countingBackend{}
-	srv, err := New(bk, WithBatch(1, time.Millisecond), WithQueueBound(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if _, _, err := srv.SubmitDeadline(context.Background(), 0, []float64{1}); err != nil {
-		t.Fatalf("SubmitDeadline(d=0) = %v, want nil", err)
-	}
 }

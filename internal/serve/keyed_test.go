@@ -103,7 +103,7 @@ func TestSubmitKeyedMixedWithPlain(t *testing.T) {
 	defer refSrv.Close()
 	want := make([][]float64, len(inputs))
 	for i, in := range inputs {
-		out, _, err := refSrv.Infer(in)
+		out, _, err := refSrv.Submit(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSubmitKeyedMixedWithPlain(t *testing.T) {
 		if _, _, err := mixSrv.SubmitKeyed(context.Background(), uint64(1000+i), in); err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := mixSrv.Infer(in)
+		out, _, err := mixSrv.Submit(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -258,11 +258,6 @@ func (s *Server) QueueDepth() int { return len(s.queue) }
 // simulated second is requests / (SimTimePS * 1e-12).
 func (s *Server) SimTimePS() int64 { return s.simPS.Load() }
 
-// Infer submits one inference with a background context; see Submit.
-func (s *Server) Infer(in []float64) ([]float64, energy.Cost, error) {
-	return s.Submit(context.Background(), in)
-}
-
 // Submit submits one inference and blocks until its batch completes or ctx
 // is done. The returned cost is the request's share of its batch: the full
 // batch latency (the request waited for the whole batch) and 1/n of the
@@ -273,27 +268,13 @@ func (s *Server) Infer(in []float64) ([]float64, energy.Cost, error) {
 // If ctx is canceled while the request waits, Submit returns ErrCanceled
 // (wrapping ctx.Err()): a request still queued is skipped at flush time,
 // one already mid-batch completes on the device but its result is
-// discarded.
+// discarded. A per-request latency budget is a ctx deadline
+// (context.WithTimeout): a request that cannot complete inside it is shed
+// at whatever stage the expiry is detected — before enqueue, while
+// queued, or mid-batch — and the caller gets ErrDeadlineExceeded. See
+// docs/RESILIENCE.md for the deadline-propagation contract.
 func (s *Server) Submit(ctx context.Context, in []float64) ([]float64, energy.Cost, error) {
 	return s.submit(&request{ctx: ctx, in: in})
-}
-
-// SubmitDeadline is Submit with a per-request latency budget: the request
-// runs under ctx bounded by deadline d (d <= 0 means no budget beyond
-// ctx's own). A request that cannot complete inside its budget is shed at
-// whatever stage the expiry is detected — before enqueue, while queued, or
-// mid-batch — and the caller gets ErrDeadlineExceeded. See
-// docs/RESILIENCE.md for the deadline-propagation contract.
-func (s *Server) SubmitDeadline(ctx context.Context, d time.Duration, in []float64) ([]float64, energy.Cost, error) {
-	if d <= 0 {
-		return s.Submit(ctx, in)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithTimeout(ctx, d)
-	defer cancel()
-	return s.Submit(ctx, in)
 }
 
 // SubmitKeyed is Submit with a caller-owned noise sequence number: the
@@ -340,10 +321,10 @@ func (s *Server) submit(req *request) ([]float64, energy.Cost, error) {
 
 	select {
 	case r := <-req.resp:
-		s.met.latencyNS.Observe(float64(time.Since(req.start).Nanoseconds()))
 		if r.err != nil {
 			return nil, energy.Zero, r.err
 		}
+		s.met.latencyNS.Observe(float64(time.Since(req.start).Nanoseconds()))
 		return r.out, r.cost, nil
 	case <-ctx.Done():
 		// The dispatcher will still send into the buffered resp channel

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 
 	"cimrev/internal/dpe"
 	"cimrev/internal/energy"
+	"cimrev/internal/metrics"
 	"cimrev/internal/nn"
 	"cimrev/internal/parallel"
 )
@@ -106,7 +108,7 @@ func TestServeMatchesDirectInfer(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					out, cost, err := srv.Infer(inputs[i])
+					out, cost, err := srv.Submit(context.Background(), inputs[i])
 					if err != nil {
 						t.Errorf("request %d: %v", i, err)
 						return
@@ -179,7 +181,7 @@ func (b *blockingBackend) InferBatch(inputs [][]float64) ([][]float64, energy.Co
 }
 
 // TestBackpressure: once the dispatcher is stuck in a flush and the queue
-// holds QueueBound requests, further Infers are rejected with
+// holds QueueBound requests, further Submits are rejected with
 // ErrOverloaded — the queue must never grow past its bound.
 func TestBackpressure(t *testing.T) {
 	const bound = 4
@@ -192,7 +194,7 @@ func TestBackpressure(t *testing.T) {
 	// First request: dispatcher picks it up and blocks in the backend.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Infer([]float64{0})
+		_, _, err := srv.Submit(context.Background(), []float64{0})
 		firstDone <- err
 	}()
 	<-bk.entered // dispatcher is now stuck inside InferBatch
@@ -204,7 +206,7 @@ func TestBackpressure(t *testing.T) {
 		parked.Add(1)
 		go func(i int) {
 			defer parked.Done()
-			_, _, err := srv.Infer([]float64{float64(i + 1)})
+			_, _, err := srv.Submit(context.Background(), []float64{float64(i + 1)})
 			parkedErrs[i] = err
 		}(i)
 	}
@@ -220,8 +222,8 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	// The queue is at its high-water mark: the next request must be shed.
-	if _, _, err := srv.Infer([]float64{99}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("Infer past high-water mark = %v, want ErrOverloaded", err)
+	if _, _, err := srv.Submit(context.Background(), []float64{99}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Submit past high-water mark = %v, want ErrOverloaded", err)
 	}
 	if got := srv.Registry().Counter("serve.rejected").Value(); got != 1 {
 		t.Errorf("serve.rejected = %d, want 1", got)
@@ -277,7 +279,7 @@ func TestDeadlineFlush(t *testing.T) {
 	}
 	defer srv.Close()
 	start := time.Now()
-	if _, _, err := srv.Infer([]float64{1}); err != nil {
+	if _, _, err := srv.Submit(context.Background(), []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -305,7 +307,7 @@ func TestMaxBatchCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := srv.Infer([]float64{1}); err == nil {
+			if _, _, err := srv.Submit(context.Background(), []float64{1}); err == nil {
 				served.Add(1)
 			}
 		}()
@@ -330,7 +332,7 @@ func TestMaxBatchCap(t *testing.T) {
 }
 
 // TestCloseDrains: Close completes queued work (no dropped requests) and
-// subsequent Infers fail fast with ErrClosed.
+// subsequent Submits fail fast with ErrClosed.
 func TestCloseDrains(t *testing.T) {
 	net := testMLP(t, 16, 8)
 	eng := loadedEngine(t, net)
@@ -346,7 +348,7 @@ func TestCloseDrains(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = srv.Infer(inputs[i])
+			_, _, errs[i] = srv.Submit(context.Background(), inputs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -356,8 +358,8 @@ func TestCloseDrains(t *testing.T) {
 			t.Errorf("request %d: %v", i, err)
 		}
 	}
-	if _, _, err := srv.Infer(inputs[0]); !errors.Is(err, ErrClosed) {
-		t.Errorf("Infer after Close = %v, want ErrClosed", err)
+	if _, _, err := srv.Submit(context.Background(), inputs[0]); !errors.Is(err, ErrClosed) {
+		t.Errorf("Submit after Close = %v, want ErrClosed", err)
 	}
 	srv.Close() // idempotent
 }
@@ -382,13 +384,13 @@ func TestPoisonPillIsolated(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, badErr = srv.Infer(bad)
+		_, _, badErr = srv.Submit(context.Background(), bad)
 	}()
 	for i := range good {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, goodErrs[i] = srv.Infer(good[i])
+			_, _, goodErrs[i] = srv.Submit(context.Background(), good[i])
 		}(i)
 	}
 	wg.Wait()
@@ -400,6 +402,59 @@ func TestPoisonPillIsolated(t *testing.T) {
 			t.Errorf("well-formed request %d poisoned: %v", i, err)
 		}
 	}
+}
+
+// failingBackend fails every batch with a plain (non-health) error, so
+// the server's per-request fallback fails every request too.
+type failingBackend struct{}
+
+func (failingBackend) InferBatch(inputs [][]float64) ([][]float64, energy.Cost, error) {
+	return nil, energy.Zero, errors.New("backend down")
+}
+
+// TestLatencyCountsSuccessesOnly: serve.latency_ns observes successful
+// requests only, so its count always equals serve.requests — failures
+// must not drag near-zero latencies into p50/p99.
+func TestLatencyCountsSuccessesOnly(t *testing.T) {
+	check := func(t *testing.T, reg *metrics.Registry, wantOK int64) {
+		t.Helper()
+		ok := reg.Counter("serve.requests").Value()
+		if ok != wantOK {
+			t.Fatalf("serve.requests = %d, want %d", ok, wantOK)
+		}
+		if got := reg.Histogram("serve.latency_ns").Count(); got != ok {
+			t.Fatalf("serve.latency_ns count = %d, want serve.requests = %d", got, ok)
+		}
+	}
+	t.Run("failing-backend", func(t *testing.T) {
+		srv, err := New(failingBackend{}, WithBatch(1, time.Millisecond), WithQueueBound(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if _, _, err := srv.Submit(context.Background(), []float64{1}); err == nil {
+				t.Fatal("failing backend served a request")
+			}
+		}
+		srv.Close()
+		if got := srv.Registry().Counter("serve.errors").Value(); got != 5 {
+			t.Fatalf("serve.errors = %d, want 5", got)
+		}
+		check(t, srv.Registry(), 0)
+	})
+	t.Run("poison-pill", func(t *testing.T) {
+		srv, err := New(loadedEngine(t, testMLP(t, 16, 8)), WithBatch(1, time.Millisecond), WithQueueBound(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range append(testInputs(3, 16, 9), []float64{1, 2, 3}) {
+			if _, _, err := srv.Submit(context.Background(), in); (err == nil) != (i < 3) {
+				t.Fatalf("request %d: err = %v", i, err)
+			}
+		}
+		srv.Close()
+		check(t, srv.Registry(), 3)
+	})
 }
 
 // TestServeClusterBackend: the batcher runs unchanged over a multi-board
@@ -424,7 +479,7 @@ func TestServeClusterBackend(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, _, err := srv.Infer(inputs[i])
+			out, _, err := srv.Submit(context.Background(), inputs[i])
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return

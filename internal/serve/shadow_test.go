@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -62,7 +63,7 @@ func TestShadowSwapZeroDowntime(t *testing.T) {
 					return
 				default:
 				}
-				_, _, err := srv.Infer(inputs[(c+i)%len(inputs)])
+				_, _, err := srv.Submit(context.Background(), inputs[(c+i)%len(inputs)])
 				switch err {
 				case nil:
 					served.Add(1)
@@ -308,7 +309,7 @@ func TestShadowServeParallelWidths(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					if _, _, err := srv.Infer(inputs[i]); err != nil {
+					if _, _, err := srv.Submit(context.Background(), inputs[i]); err != nil {
 						t.Errorf("request %d: %v", i, err)
 					}
 				}(i)

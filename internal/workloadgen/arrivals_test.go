@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cimrev/internal/noise"
 	"cimrev/internal/parallel"
 )
 
@@ -96,6 +97,39 @@ func TestArrivalsMeanRate(t *testing.T) {
 		want := a.Rate()
 		if math.Abs(got-want)/want > 0.10 {
 			t.Errorf("%s: empirical rate %.0f rps, want within 10%% of %.0f", a.Name(), got, want)
+		}
+	}
+}
+
+// TestPoissonHistoricalGolden pins Poisson's gaps, bit for bit, to the
+// historical formula
+//
+//	gap(i) = -1e9/rps * ln(noise.NewSource(seed).Float64(i))
+//
+// for the same (seed, rps). The (1717, 200k) pair is the overload train
+// in experiments.ChaosSweep (chaos.ScenarioPlan seed 1717), so archived
+// BENCH_chaos sweeps replay unchanged.
+func TestPoissonHistoricalGolden(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		rps  float64
+	}{
+		{1, 200_000},
+		{1717, 200_000},
+		{3, 10_000},
+		{-7, 123.5},
+	} {
+		src := noise.NewSource(tc.seed)
+		meanNS := 1e9 / tc.rps
+		p, err := NewPoisson(tc.seed, tc.rps)
+		if err != nil {
+			t.Fatalf("NewPoisson(%d, %g): %v", tc.seed, tc.rps, err)
+		}
+		for i := uint64(0); i < 4096; i++ {
+			historical := time.Duration(-meanNS * math.Log(src.Float64(i)))
+			if g := p.Gap(i); g != historical {
+				t.Fatalf("seed %d rps %g: gap %d = %v, historical %v", tc.seed, tc.rps, i, g, historical)
+			}
 		}
 	}
 }

@@ -24,9 +24,9 @@
 //
 // The processes:
 //
-//   - Poisson: exponential i.i.d. gaps — the memoryless baseline. This is
-//     the process formerly at internal/chaos.Arrivals, promoted verbatim
-//     (same draws, bit-identical gaps).
+//   - Poisson: exponential i.i.d. gaps — the memoryless baseline. Its
+//     gaps are the historical formula -1e9/rps·ln(U_i), bit for bit
+//     (TestPoissonHistoricalGolden), so archived chaos sweeps replay.
 //   - MMPP: a two-state Markov-modulated Poisson process — a base regime
 //     and a burst regime whose rate is Burst times higher, switching on
 //     epoch boundaries. Bursty traffic with tunable burst fraction and
@@ -93,8 +93,8 @@ type Poisson struct {
 }
 
 // NewPoisson returns a Poisson process averaging rps arrivals per second,
-// keyed by seed. The gap sequence is bit-identical to the historical
-// chaos.Arrivals implementation for the same (seed, rps).
+// keyed by seed. The gap sequence is pinned to the historical formula
+// for the same (seed, rps) (TestPoissonHistoricalGolden).
 func NewPoisson(seed int64, rps float64) (Poisson, error) {
 	if rps <= 0 || math.IsInf(rps, 0) || math.IsNaN(rps) {
 		return Poisson{}, fmt.Errorf("workloadgen: poisson rate must be a positive finite rps, got %g", rps)
